@@ -1379,7 +1379,9 @@ impl FleetConnection {
             // replaying each loss onto a sibling.
             self.pending[m].clear();
             let _ = self.fleet.members[m].take_woken();
-            let lost: Vec<u64> = self
+            // Sorted so the replay order never depends on hash iteration
+            // order, which differs between processes.
+            let mut lost: Vec<u64> = self
                 .outstanding
                 .iter()
                 .filter(|(rid, o)| {
@@ -1390,6 +1392,7 @@ impl FleetConnection {
                 })
                 .map(|(&rid, _)| rid)
                 .collect();
+            lost.sort_unstable();
             for rid in lost {
                 self.transport.replays += 1;
                 self.fail_over_target(rid);
@@ -1886,11 +1889,13 @@ pub fn simulate_fleet_workload(config: FleetWorkloadConfig) -> Result<FleetRepor
                 FramePayload::Response(ServerResponse::Welcome { epoch }) => epoch,
                 _ => fleet.epoch(m),
             };
-            let lost: Vec<u64> = inflight
+            // Sorted, as in the client: replays follow request-id order.
+            let mut lost: Vec<u64> = inflight
                 .iter()
                 .filter(|(rid, p)| p.member == m && !deferred.contains_key(rid))
                 .map(|(&rid, _)| rid)
                 .collect();
+            lost.sort_unstable();
             for rid in lost {
                 replays += 1;
                 let p = inflight.get_mut(&rid).expect("rid collected from inflight");

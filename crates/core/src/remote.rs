@@ -402,12 +402,15 @@ impl<E: ServerEndpoint> Connection<E> {
         // request goes back through the ordinary transmit machinery (its
         // deadline state is untouched — a replay is not a timeout).
         self.pending.clear();
-        let lost: Vec<u64> = self
+        // Sorted so the replay order never depends on hash iteration
+        // order, which differs between processes.
+        let mut lost: Vec<u64> = self
             .outstanding
             .keys()
             .copied()
             .filter(|rid| !self.landed.contains_key(rid) && !self.collected.contains(rid))
             .collect();
+        lost.sort_unstable();
         for rid in lost {
             self.transport.replays += 1;
             self.transmit_request(rid);

@@ -20,6 +20,12 @@ cargo run -q -p minos-xtask -- spec --check
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 
+# perfbench is its own workspace, so `cargo build --workspace` never
+# compiles it; build it here so a library API change cannot break the
+# benchmark silently.
+echo "==> perfbench build"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> exp_pipeline --smoke"
 cargo bench -p minos-bench --bench exp_pipeline -- --smoke
 

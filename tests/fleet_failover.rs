@@ -8,7 +8,7 @@
 //! hint, and no wedge — across a 10-seed sweep.
 
 use minos::net::{FaultPlan, Link, ServerResponse};
-use minos::presentation::{Fleet, FleetConnection};
+use minos::presentation::{Fleet, FleetConnection, FleetTicket};
 use minos::types::{ByteSpan, ObjectId};
 
 const MEMBERS: usize = 3;
@@ -110,4 +110,76 @@ fn failover_retargets_replays_onto_sibling_replicas() {
     }
     assert!(total_replays >= 1, "no seed replayed an orphaned frame");
     assert!(total_failovers >= 1, "no replay ever changed target");
+}
+
+/// One restart-under-corruption run: 4 members at k=2, 30 % of frames
+/// corrupted, a member restarted every 37 pages, window 8. Returns the
+/// simulated elapsed time, replays, failovers and pages that exhausted
+/// their retries.
+fn restart_under_corruption() -> (u64, u64, u64, u64) {
+    const OBJECTS: u64 = 4;
+    const RUN_PAGES: u64 = 48;
+    let mut fleet = Fleet::new(4, 2).expect("valid fleet shape");
+    for object in 1..=OBJECTS {
+        let body: Vec<u8> = (0..RUN_PAGES * PAGE_LEN).map(|i| pattern(object, i)).collect();
+        fleet.publish_paged(ObjectId::new(object), &body, PAGE_LEN).expect("publish");
+    }
+    let mut conn = FleetConnection::with_faults(
+        fleet,
+        Link::ethernet(),
+        WINDOW,
+        FaultPlan::corrupting(7, 0.3),
+    );
+    let mut open = std::collections::VecDeque::new();
+    let mut failed = 0;
+    for n in 0..OBJECTS * RUN_PAGES {
+        if n > 0 && n % 37 == 0 {
+            conn.fleet_mut().restart_member((n / 37) as usize % 4).expect("member exists");
+        }
+        if open.len() == WINDOW {
+            let (ticket, object, page) = open.pop_front().expect("window is full");
+            failed += u64::from(!collect_page(&mut conn, ticket, object, page));
+        }
+        let (object, page) = (n % OBJECTS + 1, n / OBJECTS);
+        let rel = ByteSpan::at(page * PAGE_LEN, PAGE_LEN);
+        open.push_back((
+            conn.fetch_page(ObjectId::new(object), rel).expect("submit"),
+            object,
+            page,
+        ));
+    }
+    for (ticket, object, page) in open {
+        failed += u64::from(!collect_page(&mut conn, ticket, object, page));
+    }
+    let transport = conn.transport_stats();
+    (conn.elapsed().as_micros(), transport.replays, transport.failovers, failed)
+}
+
+/// Waits for one page. A delivered page must be byte-identical; a page
+/// whose retries ran out comes back as an inline error and returns false.
+fn collect_page(conn: &mut FleetConnection, ticket: FleetTicket, object: u64, page: u64) -> bool {
+    let (response, _) = conn.wait(ticket).expect("collect");
+    match response {
+        ServerResponse::Span(bytes) => {
+            let want: Vec<u8> =
+                (0..PAGE_LEN).map(|i| pattern(object, page * PAGE_LEN + i)).collect();
+            assert_eq!(bytes, want, "object {object} page {page}");
+            conn.recycle_payload(bytes);
+            true
+        }
+        ServerResponse::Error(_) => false,
+        other => panic!("object {object} page {page} came back {other:?}"),
+    }
+}
+
+#[test]
+fn restart_replays_repeat_identically_within_one_process() {
+    // Every run builds fresh connections, so every `HashMap` inside them
+    // draws a fresh `RandomState`. Replays must follow request-id order,
+    // not hash order, or the runs drift apart in simulated time.
+    let first = restart_under_corruption();
+    assert!(first.1 > 0, "the restarts must orphan in-flight requests: {first:?}");
+    for run in 1..8 {
+        assert_eq!(restart_under_corruption(), first, "run {run} diverged from run 0");
+    }
 }
