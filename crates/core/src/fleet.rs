@@ -22,11 +22,12 @@
 //!
 //! [`FleetConnection`] is the client: one shared uplink/downlink (the
 //! paper's broadcast bus), one device timeline per member, and the same
-//! window/deadline/retry discipline as the single-endpoint
-//! [`Connection`](crate::remote). A server that answers
-//! [`ServerResponse::Busy`] gets honored, not hammered: the turned-away
-//! request parks on a kernel timer until the server's own `retry_after`
-//! hint elapses, then resubmits — to a sibling replica when one exists.
+//! request pipeline — window, deadlines, backoff, expiry — that the
+//! single-endpoint [`Connection`](crate::remote::Connection) runs. A server
+//! that answers [`ServerResponse::Busy`] gets honored, not hammered: the
+//! turned-away request parks on a kernel timer until the server's own
+//! `retry_after` hint elapses, then resubmits — to a sibling replica when
+//! one exists.
 //!
 //! [`simulate_fleet_workload`] is the E16 harness: M sessions demand-page
 //! against N members through the shared link, wake-list-driven via
@@ -52,35 +53,19 @@
 //!   copy from a verified sibling (a fresh WORM append — optical media
 //!   cannot be patched in place).
 
-use crate::kernel::{Kernel, KernelEvent, TimerId};
+use crate::kernel::{Kernel, KernelEvent};
 use crate::prefetch::page_spans;
-use crate::remote::{Landed, PendingFrame, TransportStats};
+use crate::sched::p99;
+use crate::transport::{
+    Landed, PendingFrame, Pipeline, Transport, TransportStats, CONN_ID, DEFAULT_WINDOW,
+};
 use minos_net::{
-    crc32, BufferPool, FaultPlan, FaultyLink, Frame, FramePayload, InflightWindow, Link, Priority,
-    ServerRequest, ServerResponse,
+    crc32, BufferPool, FaultPlan, Frame, FramePayload, Link, Priority, ServerRequest,
+    ServerResponse,
 };
 use minos_server::{ObjectServer, ServiceConfig, ServiceStats};
-use minos_types::{ByteSpan, MinosError, ObjectId, Result, SimClock, SimDuration, SimInstant};
+use minos_types::{ByteSpan, MinosError, ObjectId, Result, SimDuration, SimInstant};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-
-/// The fleet transport multiplexes every request over one logical
-/// connection id — members tell requests apart by request id, which the
-/// transport keeps globally unique.
-const FLEET_CONN: u64 = 1;
-
-/// Default in-flight window of a [`FleetConnection`].
-const DEFAULT_WINDOW: usize = 32;
-
-/// Default per-request deadline (see [`Connection`](crate::remote): the
-/// sim serves every surviving frame by the time a caller waits on it, so
-/// the deadline only fires on genuine loss).
-const DEFAULT_TIMEOUT: SimDuration = SimDuration::from_millis(500);
-
-/// Default retransmission budget before a request expires inline.
-const DEFAULT_MAX_RETRIES: u32 = 4;
-
-/// Ceiling on the exponential backoff between retransmits.
-const BACKOFF_CAP: SimDuration = SimDuration::from_secs(4);
 
 /// `splitmix64` finalizer: the standard 64-bit avalanche mix. Rendezvous
 /// hashing only needs that distinct `(object, member)` pairs score
@@ -820,11 +805,11 @@ impl RepairQueue {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct FleetTicket(u64);
 
-/// Retransmission and failover state for one in-flight request. Unlike
-/// the single-endpoint connection, the fleet transport keeps this even on
-/// a clean link: failover needs the object identity and the encoded
-/// bytes to re-aim a request at a sibling replica.
-struct FleetOutstanding {
+/// Where one in-flight request is aimed, kept beside its retransmission
+/// state. Unlike the single-endpoint connection, the fleet client keeps
+/// that state even on a clean link: failover needs the object identity
+/// and the encoded bytes to re-aim a request at a sibling replica.
+pub(crate) struct FleetRoute {
     /// The object the request reads from — the key back into the
     /// placement table when the target must change.
     object: ObjectId,
@@ -833,15 +818,8 @@ struct FleetOutstanding {
     rel: ByteSpan,
     /// Fleet index of the member currently targeted.
     target: usize,
-    /// The frame encoded once at submit into a pooled buffer; every
-    /// retransmit resends it verbatim, and a failover re-encodes into the
-    /// same buffer (the replica's device span differs).
-    frame_bytes: Vec<u8>,
-    deadline: SimInstant,
-    attempt: u32,
-    timer: TimerId,
     /// Whether the request is parked on a `Busy { retry_after }` hint:
-    /// `deadline` is then the earliest instant it may go back on the
+    /// its deadline is then the earliest instant it may go back on the
     /// wire, and reaching it costs neither a timeout nor a retry.
     deferred: bool,
 }
@@ -862,41 +840,32 @@ pub struct FleetStats {
 /// paper's broadcast bus), one device timeline per member, and per-request
 /// deadline/retry/failover state.
 ///
-/// The request path mirrors the single-endpoint
-/// [`Connection`](crate::remote::Connection) — admit into the in-flight
-/// window, encode once into a pooled buffer, transmit, dispatch, land —
-/// with two fleet-specific moves layered on:
+/// Admission into the in-flight window, encode-once retransmission with
+/// capped backoff, expiry and duplicate suppression are the request
+/// pipeline it shares with the single-endpoint
+/// [`Connection`](crate::remote::Connection). What is the fleet's own:
 ///
-/// * a member restart (epoch bump) replays that member's in-flight
-///   requests onto the next replica in each object's rendezvous ring;
-/// * a [`ServerResponse::Busy`] reply parks the request on a kernel timer
-///   for the server's own `retry_after` hint and rotates it to a sibling,
-///   instead of re-offering load to the gate that just shed it.
+/// * frames reach each member through its service queue, so admission
+///   control there can answer [`ServerResponse::Busy`];
+/// * a timed-out request retransmits to the next replica in its object's
+///   rendezvous ring, and a member restart (epoch bump) replays that
+///   member's in-flight requests there too;
+/// * a `Busy` reply parks the request on a kernel timer for the server's
+///   own `retry_after` hint and rotates it to a sibling, instead of
+///   re-offering load to the gate that just shed it;
+/// * an optional heartbeat feeds a per-member health monitor.
 pub struct FleetConnection {
     fleet: Fleet,
     /// Per-member epoch last handshaken; a mismatch triggers resync.
     member_epochs: Vec<u64>,
-    link: FaultyLink,
-    clock: SimClock,
-    next_request_id: u64,
-    window: InflightWindow,
+    core: Transport<FleetRoute>,
     /// Per-member queues of request frames in transit to that member.
     pending: Vec<VecDeque<PendingFrame>>,
     /// Arrival instant of each frame handed to a member's service queue.
     arrival_at: HashMap<u64, SimInstant>,
-    landed: HashMap<u64, Landed>,
-    outstanding: HashMap<u64, FleetOutstanding>,
-    collected: HashSet<u64>,
-    pool: BufferPool,
-    kernel: Kernel,
-    transport: TransportStats,
     stats: FleetStats,
-    timeout: SimDuration,
-    max_retries: u32,
-    up_free: SimInstant,
     /// One device timeline per member: the shared wire feeds N devices.
     dev_free: Vec<SimInstant>,
-    down_free: SimInstant,
     /// Heartbeat interval once [`FleetConnection::enable_heartbeat`] has
     /// armed the health monitor; `None` keeps heartbeats off.
     heartbeat: Option<SimDuration>,
@@ -928,24 +897,11 @@ impl FleetConnection {
         FleetConnection {
             fleet,
             member_epochs,
-            link: FaultyLink::new(link, plan),
-            clock: SimClock::new(),
-            next_request_id: 1,
-            window: InflightWindow::new(window),
+            core: Transport::new(link, plan, window),
             pending: (0..members).map(|_| VecDeque::new()).collect(),
             arrival_at: HashMap::new(),
-            landed: HashMap::new(),
-            outstanding: HashMap::new(),
-            collected: HashSet::new(),
-            pool: BufferPool::new(),
-            kernel: Kernel::new(),
-            transport: TransportStats::default(),
             stats: FleetStats::default(),
-            timeout: DEFAULT_TIMEOUT,
-            max_retries: DEFAULT_MAX_RETRIES,
-            up_free: SimInstant::EPOCH,
             dev_free: vec![SimInstant::EPOCH; members],
-            down_free: SimInstant::EPOCH,
             heartbeat: None,
             health: HealthMonitor::new(members),
             next_nonce: 1,
@@ -955,41 +911,34 @@ impl FleetConnection {
     /// Overrides the recovery policy: per-request deadline and retransmit
     /// budget before a request expires with an inline error.
     pub fn with_recovery(mut self, timeout: SimDuration, max_retries: u32) -> Self {
-        self.timeout = timeout.max(SimDuration::from_micros(1));
-        self.max_retries = max_retries;
+        self.core.set_recovery(timeout, max_retries);
         self
     }
 
     /// Total simulated time spent so far.
     pub fn elapsed(&self) -> SimDuration {
-        self.clock.now().since(SimInstant::EPOCH)
+        self.core.elapsed()
     }
 
     /// Payload bytes moved over the shared link so far.
     pub fn bytes_transferred(&self) -> u64 {
-        self.link.stats().bytes
+        self.core.link.stats().bytes
     }
 
     /// Shared-link transfer statistics.
     pub fn link_stats(&self) -> minos_net::LinkStats {
-        self.link.stats()
+        self.core.link.stats()
     }
 
     /// What the fault layer did to the fleet's frames.
     pub fn fault_stats(&self) -> minos_net::FaultStats {
-        self.link.fault_stats()
+        self.core.link.fault_stats()
     }
 
     /// Recovery accounting — timeouts, retries, replays, epoch resyncs,
     /// failovers — plus the transmit-pool counters.
     pub fn transport_stats(&self) -> TransportStats {
-        let pool = self.pool.stats();
-        TransportStats {
-            pool_hits: pool.hits,
-            pool_misses: pool.misses,
-            payload_allocs: self.transport.payload_allocs + pool.misses,
-            ..self.transport
-        }
+        self.core.transport_stats()
     }
 
     /// Busy-honoring accounting (deferred resubmissions and the
@@ -1000,17 +949,17 @@ impl FleetConnection {
 
     /// The timer-wheel counters of the recovery machinery.
     pub fn kernel_stats(&self) -> crate::kernel::KernelStats {
-        self.kernel.stats()
+        self.core.kernel.stats()
     }
 
     /// Requests submitted and not yet collected.
     pub fn in_flight(&self) -> usize {
-        self.window.len()
+        self.core.window.len()
     }
 
     /// The in-flight window capacity.
     pub fn window_capacity(&self) -> usize {
-        self.window.capacity()
+        self.core.window.capacity()
     }
 
     /// The fleet behind the connection.
@@ -1025,7 +974,7 @@ impl FleetConnection {
 
     /// Hands a consumed payload buffer back to the transmit pool.
     pub fn recycle_payload(&mut self, buf: Vec<u8>) {
-        self.pool.recycle(buf);
+        self.core.pool.recycle(buf);
     }
 
     /// Starts the deterministic health monitor: every `interval`, each
@@ -1039,8 +988,10 @@ impl FleetConnection {
         let interval = interval.max(SimDuration::from_micros(1));
         self.heartbeat = Some(interval);
         for m in 0..self.fleet.members.len() {
-            self.kernel
-                .arm(self.clock.now() + interval, KernelEvent::HealthTick { member: m as u64 });
+            self.core.kernel.arm(
+                self.core.clock.now() + interval,
+                KernelEvent::HealthTick { member: m as u64 },
+            );
         }
     }
 
@@ -1056,37 +1007,34 @@ impl FleetConnection {
     /// resync machinery immediately. Re-arms the member's next tick.
     fn heartbeat_member(&mut self, m: usize) {
         if m >= self.fleet.members.len() {
-            self.kernel.note_spurious();
+            self.core.kernel.note_spurious();
             return;
         }
         let nonce = self.next_nonce;
         self.next_nonce += 1;
         self.health.note_ping(m);
         let ping = ServerRequest::Ping { nonce };
-        let sent = self.clock.now();
-        let up = self.link.charge(Frame::request(FLEET_CONN, 0, ping).wire_size());
-        let arrival = sent.max(self.up_free) + up;
-        self.up_free = arrival;
+        let sent = self.core.clock.now();
+        let arrival = self.core.charge_up(Frame::request(CONN_ID, 0, ping).wire_size());
         let (answer, _) = self.fleet.members[m].handle(&ServerRequest::Ping { nonce });
         let echo_epoch = match &answer {
             ServerResponse::Pong { epoch, .. } => Some(*epoch),
             _ => None,
         };
-        let down = self.link.charge(Frame::response(FLEET_CONN, 0, answer).wire_size());
-        let delivered = arrival.max(self.down_free) + down;
-        self.down_free = delivered;
+        let delivered =
+            self.core.charge_down(arrival, Frame::response(CONN_ID, 0, answer).wire_size());
         self.health.note_pong(m, delivered.saturating_since(sent));
         if let Some(epoch) = echo_epoch {
             if epoch != self.member_epochs[m] {
                 // The restart is noticed by the heartbeat, not by the
                 // next submit: resync (handshake + replay) right here.
                 self.health.note_epoch_mismatch();
-                self.resync_epochs();
+                self.resync();
             }
         }
         if let Some(interval) = self.heartbeat {
-            self.kernel.arm(
-                self.clock.now().max(delivered) + interval,
+            self.core.kernel.arm(
+                self.core.clock.now().max(delivered) + interval,
                 KernelEvent::HealthTick { member: m as u64 },
             );
         }
@@ -1096,10 +1044,7 @@ impl FleetConnection {
     /// configurations). A ticket from before the reset is gone — waiting
     /// on it is a protocol error.
     pub fn reset_accounting(&mut self) {
-        self.link.reset();
-        self.clock = SimClock::new();
-        self.up_free = SimInstant::EPOCH;
-        self.down_free = SimInstant::EPOCH;
+        self.core.reset();
         for free in &mut self.dev_free {
             *free = SimInstant::EPOCH;
         }
@@ -1107,16 +1052,7 @@ impl FleetConnection {
             queue.clear();
         }
         self.arrival_at.clear();
-        self.landed.clear();
-        self.outstanding.clear();
-        self.collected.clear();
-        self.pool.reset_stats();
-        // The clock restarts at the epoch, so every armed deadline is
-        // stale: replace the kernel wholesale, counters included.
-        self.kernel = Kernel::new();
-        self.transport = TransportStats::default();
         self.stats = FleetStats::default();
-        self.window = InflightWindow::new(self.window.capacity());
         self.fleet.reset_stats();
         // A reset adopts each member's current epoch: there is no window
         // left to re-aim, so a restart before the reset costs nothing
@@ -1131,8 +1067,10 @@ impl FleetConnection {
         self.next_nonce = 1;
         if let Some(interval) = self.heartbeat {
             for m in 0..self.fleet.members.len() {
-                self.kernel
-                    .arm(self.clock.now() + interval, KernelEvent::HealthTick { member: m as u64 });
+                self.core.kernel.arm(
+                    self.core.clock.now() + interval,
+                    KernelEvent::HealthTick { member: m as u64 },
+                );
             }
         }
     }
@@ -1160,31 +1098,10 @@ impl FleetConnection {
         };
         let replica = placement.replica_for(request_id);
         let span = ByteSpan::at(replica.span.start + rel.start, rel.len());
-        let deadline = self.clock.now() + self.timeout;
-        let mut frame_bytes = self.pool.lease_vec();
-        Frame::encode_request_into(
-            FLEET_CONN,
-            request_id,
-            Priority::Demand,
-            &ServerRequest::FetchSpan { span },
-            &mut frame_bytes,
-        );
-        let timer = self.kernel.arm(deadline, KernelEvent::RetryDue { request_id, attempt: 0 });
-        self.outstanding.insert(
-            request_id,
-            FleetOutstanding {
-                object,
-                rel,
-                target: replica.member,
-                frame_bytes,
-                deadline,
-                attempt: 0,
-                timer,
-                deferred: false,
-            },
-        );
-        self.transmit_request(request_id);
-        self.window.open(request_id);
+        let route = FleetRoute { object, rel, target: replica.member, deferred: false };
+        self.core.track(request_id, &ServerRequest::FetchSpan { span }, route);
+        self.transmit(request_id);
+        self.core.window.open(request_id);
         Ok(FleetTicket(request_id))
     }
 
@@ -1196,28 +1113,8 @@ impl FleetConnection {
     /// hint elapses. A request that exhausts its retries comes back as an
     /// inline [`ServerResponse::Error`].
     pub fn wait(&mut self, ticket: FleetTicket) -> Result<(ServerResponse, SimDuration)> {
-        let started = self.clock.now();
-        loop {
-            self.resync_epochs();
-            self.dispatch();
-            if let Some(landed) = self.landed.remove(&ticket.0) {
-                self.clock.advance_to_at_least(landed.ready_at);
-                let waited = self.clock.now().saturating_since(started);
-                self.window.close(ticket.0);
-                if let Some(out) = self.outstanding.remove(&ticket.0) {
-                    self.kernel.cancel(out.timer);
-                    self.pool.recycle(out.frame_bytes);
-                }
-                self.collected.insert(ticket.0);
-                return Ok((landed.response, waited));
-            }
-            if !self.outstanding.contains_key(&ticket.0) {
-                return Err(MinosError::Protocol(format!(
-                    "unknown or already-collected {ticket:?}"
-                )));
-            }
-            self.force_progress(ticket.0);
-        }
+        self.collect(ticket.0)
+            .ok_or_else(|| MinosError::Protocol(format!("unknown or already-collected {ticket:?}")))
     }
 
     /// Drives the fleet to `at` without collecting anything: every
@@ -1225,90 +1122,14 @@ impl FleetConnection {
     /// fires at its exact instant.
     pub fn advance_to(&mut self, at: SimInstant) {
         self.dispatch();
-        // Step deadline-to-deadline so backoffs chain from the deadline
-        // itself; intermediate cascade ticks drain empty and the loop
-        // steps on. Heartbeat ticks fire in here too, so with the monitor
+        // Heartbeat ticks fire inside the timer steps, so with the monitor
         // enabled a member restart is detected at its first heartbeat —
         // which is why the resync runs *after* the timer drain, as a
         // safety net for heartbeat-less connections, not before it.
-        while let Some(next) = self.kernel.next_deadline() {
-            if next > at {
-                break;
-            }
-            self.clock.advance_to_at_least(next);
-            self.drain_retry_wakes();
-        }
-        self.clock.advance_to_at_least(at);
-        self.kernel.advance_to(self.clock.now());
-        self.drain_retry_wakes();
-        self.resync_epochs();
+        self.step_timers_to(at);
+        self.resync();
         self.dispatch();
-        self.settle();
-    }
-
-    /// Admits the next submission into the flow-control window: resyncs
-    /// member epochs, settles arrived responses, and waits out (or forces
-    /// progress on) a full window before allocating the request id.
-    fn admit_slot(&mut self) -> u64 {
-        self.resync_epochs();
-        self.settle();
-        while self.window.is_full() {
-            self.dispatch();
-            self.settle();
-            if !self.window.is_full() {
-                break;
-            }
-            let now = self.clock.now();
-            if let Some(next) = self.landed.values().map(|l| l.ready_at).filter(|&t| t > now).min()
-            {
-                self.clock.advance_to_at_least(next);
-                self.settle();
-                continue;
-            }
-            // Window full with nothing landed and nothing arriving: force
-            // the oldest slot through its deadline machinery rather than
-            // overrunning the flow-control bound.
-            let Some(oldest) = self.window.oldest() else { break };
-            self.force_progress(oldest);
-            self.settle();
-        }
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
-        request_id
-    }
-
-    /// Puts an outstanding request's stored frame bytes on the wire to
-    /// its current target member. Every transmission — first send,
-    /// timeout retransmit, epoch replay, deferred resubmit — resends the
-    /// bytes encoded at submit (or re-encoded at failover) verbatim.
-    fn transmit_request(&mut self, request_id: u64) {
-        let Some(out) = self.outstanding.get(&request_id) else {
-            return;
-        };
-        // The flow-control window is the admission bound: a request only
-        // reaches the wire through an admitted slot, so the in-transit
-        // queues can never outgrow it (duplicates aside, which the fault
-        // layer caps per transmit).
-        debug_assert!(
-            self.outstanding.len() <= self.window.capacity(),
-            "in-flight requests exceed the admitted window"
-        );
-        let target = out.target;
-        let (up, deliveries) = self.link.transmit(&out.frame_bytes);
-        let arrival = self.clock.now().max(self.up_free) + up;
-        self.up_free = arrival;
-        for delivery in deliveries {
-            match Frame::decode(&delivery.bytes) {
-                Ok(delivered) if delivered.as_request().is_some() => {
-                    self.pending[target].push_back(PendingFrame {
-                        frame: delivered,
-                        arrival: arrival + delivery.delay,
-                    });
-                }
-                Ok(_) => {}
-                Err(_) => self.transport.corrupt_frames += 1,
-            }
-        }
+        self.core.settle();
     }
 
     /// Re-aims an outstanding request at the next replica on its object's
@@ -1316,27 +1137,35 @@ impl FleetConnection {
     /// device layout. A single-replica object stays put — there is
     /// nowhere else to go — and costs nothing.
     fn fail_over_target(&mut self, request_id: u64) {
-        let Some(out) = self.outstanding.get_mut(&request_id) else {
+        let Some(out) = self.core.outstanding.get_mut(&request_id) else {
             return;
         };
-        let Some(placement) = self.fleet.placements.get(&out.object) else {
+        let Some(placement) = self.fleet.placements.get(&out.route.object) else {
             return;
         };
-        let replica = placement.next_after(out.target);
-        if replica.member == out.target {
+        let replica = placement.next_after(out.route.target);
+        if replica.member == out.route.target {
             return;
         }
-        self.transport.failovers += 1;
-        out.target = replica.member;
-        let span = ByteSpan::at(replica.span.start + out.rel.start, out.rel.len());
+        self.core.stats.failovers += 1;
+        out.route.target = replica.member;
+        let span = ByteSpan::at(replica.span.start + out.route.rel.start, out.route.rel.len());
         out.frame_bytes.clear();
         Frame::encode_request_into(
-            FLEET_CONN,
+            CONN_ID,
             request_id,
             Priority::Demand,
             &ServerRequest::FetchSpan { span },
             &mut out.frame_bytes,
         );
+    }
+}
+
+impl Pipeline for FleetConnection {
+    type Route = FleetRoute;
+
+    fn transport(&mut self) -> &mut Transport<FleetRoute> {
+        &mut self.core
     }
 
     /// Detects member restarts (epoch bumps) and recovers each: a
@@ -1346,29 +1175,22 @@ impl FleetConnection {
     /// object — idempotently, skipping ids whose responses already landed
     /// or were collected, and leaving `Busy`-deferred requests to their
     /// own timers.
-    fn resync_epochs(&mut self) {
+    fn resync(&mut self) {
         for m in 0..self.fleet.members.len() {
             if self.fleet.members[m].epoch() == self.member_epochs[m] {
                 continue;
             }
-            self.transport.epoch_resyncs += 1;
-            let hello = Frame::request(
-                FLEET_CONN,
-                0,
-                ServerRequest::Hello { epoch: self.member_epochs[m] },
-            );
-            let up = self.link.charge(hello.wire_size());
-            let hello_arrival = self.clock.now().max(self.up_free) + up;
-            self.up_free = hello_arrival;
+            self.core.stats.epoch_resyncs += 1;
+            let hello =
+                Frame::request(CONN_ID, 0, ServerRequest::Hello { epoch: self.member_epochs[m] });
+            let hello_arrival = self.core.charge_up(hello.wire_size());
             let (answer, took) = self.fleet.members[m]
                 .handle(&ServerRequest::Hello { epoch: self.member_epochs[m] });
             let done = hello_arrival.max(self.dev_free[m]) + took;
             self.dev_free[m] = done;
-            let welcome = Frame::response(FLEET_CONN, 0, answer);
-            let down = self.link.charge(welcome.wire_size());
-            let delivered = done.max(self.down_free) + down;
-            self.down_free = delivered;
-            self.clock.advance_to_at_least(delivered);
+            let welcome = Frame::response(CONN_ID, 0, answer);
+            let delivered = self.core.charge_down(done, welcome.wire_size());
+            self.core.clock.advance_to_at_least(delivered);
             self.member_epochs[m] = match welcome.payload {
                 FramePayload::Response(ServerResponse::Welcome { epoch }) => epoch,
                 _ => self.fleet.members[m].epoch(),
@@ -1382,21 +1204,22 @@ impl FleetConnection {
             // Sorted so the replay order never depends on hash iteration
             // order, which differs between processes.
             let mut lost: Vec<u64> = self
+                .core
                 .outstanding
                 .iter()
                 .filter(|(rid, o)| {
-                    o.target == m
-                        && !o.deferred
-                        && !self.landed.contains_key(rid)
-                        && !self.collected.contains(rid)
+                    o.route.target == m
+                        && !o.route.deferred
+                        && !self.core.landed.contains_key(rid)
+                        && !self.core.collected.contains(rid)
                 })
                 .map(|(&rid, _)| rid)
                 .collect();
             lost.sort_unstable();
             for rid in lost {
-                self.transport.replays += 1;
+                self.core.stats.replays += 1;
                 self.fail_over_target(rid);
-                self.transmit_request(rid);
+                self.transmit(rid);
             }
         }
     }
@@ -1416,9 +1239,9 @@ impl FleetConnection {
                     self.arrival_at.remove(&rid);
                 }
             }
-            while let Some((frame, charge)) = self.fleet.members[m].poll_conn(FLEET_CONN) {
+            while let Some((frame, charge)) = self.fleet.members[m].poll_conn(CONN_ID) {
                 let rid = frame.request_id;
-                let arrival = self.arrival_at.remove(&rid).unwrap_or(self.up_free);
+                let arrival = self.arrival_at.remove(&rid).unwrap_or(self.core.up_free);
                 let done = arrival.max(self.dev_free[m]) + charge;
                 self.dev_free[m] = done;
                 let FramePayload::Response(response) = frame.payload else {
@@ -1432,69 +1255,50 @@ impl FleetConnection {
         }
     }
 
-    /// Charges the shared downlink for one response frame and lands it.
-    /// On a faulty link the encoded frame crosses the fault layer:
-    /// corrupt copies are counted and discarded (the deadline machinery
-    /// retransmits), duplicates are suppressed by request id.
-    fn land(&mut self, request_id: u64, response: ServerResponse, done: SimInstant) {
-        if self.link.is_clean() {
-            let frame = Frame::response(FLEET_CONN, request_id, response);
-            let down = self.link.charge(frame.wire_size());
-            let delivered = done.max(self.down_free) + down;
-            self.down_free = delivered;
-            let FramePayload::Response(response) = frame.payload else {
-                return;
-            };
-            self.receive(request_id, response, delivered);
+    /// Sends to the request's current target member.
+    fn transmit(&mut self, request_id: u64) {
+        let Some(target) = self.core.outstanding.get(&request_id).map(|o| o.route.target) else {
             return;
-        }
-        let frame = Frame::response(FLEET_CONN, request_id, response);
-        let mut bytes = self.pool.lease_vec();
-        frame.encode_into(&mut bytes);
-        let (down, deliveries) = self.link.transmit(&bytes);
-        let delivered = done.max(self.down_free) + down;
-        self.down_free = delivered;
-        for delivery in deliveries {
-            match Frame::decode(&delivery.bytes) {
-                Ok(received) => {
-                    let rid = received.request_id;
-                    let FramePayload::Response(response) = received.payload else {
-                        continue;
-                    };
-                    self.receive(rid, response, delivered + delivery.delay);
-                }
-                Err(_) => self.transport.corrupt_frames += 1,
-            }
-        }
-        self.pool.recycle(bytes);
+        };
+        // The flow-control window is the admission bound: a request only
+        // reaches the wire through an admitted slot, so the in-transit
+        // queues can never outgrow it (duplicates aside, which the fault
+        // layer caps per transmit).
+        debug_assert!(
+            self.core.outstanding.len() <= self.core.window.capacity(),
+            "in-flight requests exceed the admitted window"
+        );
+        self.core.transmit(request_id, &mut self.pending[target]);
     }
 
-    /// Accepts one response at its delivery instant: duplicates are
-    /// suppressed, a `Busy` turn-away for a tracked request parks it on a
-    /// retry timer honoring the server's hint (and rotates it to a
-    /// sibling replica), and anything else lands for collection.
-    fn receive(&mut self, request_id: u64, response: ServerResponse, at: SimInstant) {
-        if self.collected.contains(&request_id) || self.landed.contains_key(&request_id) {
-            self.transport.duplicates += 1;
-            return;
-        }
+    /// A timeout retransmit can race the original response on any link.
+    fn remembers_collected(&self) -> bool {
+        true
+    }
+
+    /// A `Busy` turn-away for a tracked request parks it on a retry timer
+    /// honoring the server's hint (and rotates it to a sibling replica);
+    /// anything else ends the request's retransmission state and lands
+    /// for collection.
+    fn accept(&mut self, request_id: u64, response: ServerResponse, at: SimInstant) {
         if let ServerResponse::Busy { retry_after } = response {
-            if let Some(out) = self.outstanding.get(&request_id) {
-                if out.deferred {
+            if let Some(out) = self.core.outstanding.get(&request_id) {
+                if out.route.deferred {
                     // A duplicated Busy reply must not double-park.
-                    self.transport.duplicates += 1;
+                    self.core.stats.duplicates += 1;
                     return;
                 }
                 self.stats.busy_deferred += 1;
                 let due = at + retry_after;
-                self.kernel.cancel(out.timer);
+                self.core.kernel.cancel(out.timer);
                 let attempt = out.attempt;
-                let timer = self.kernel.arm(due, KernelEvent::RetryDue { request_id, attempt });
+                let timer =
+                    self.core.kernel.arm(due, KernelEvent::RetryDue { request_id, attempt });
                 // Resubmit somewhere less loaded when the object has a
                 // sibling copy; with one replica the rotation is a no-op.
                 self.fail_over_target(request_id);
-                if let Some(out) = self.outstanding.get_mut(&request_id) {
-                    out.deferred = true;
+                if let Some(out) = self.core.outstanding.get_mut(&request_id) {
+                    out.route.deferred = true;
                     out.deadline = due;
                     out.timer = timer;
                 }
@@ -1503,128 +1307,54 @@ impl FleetConnection {
         }
         // The response is in hand: the retransmission state is done, its
         // deadline is void, and the encoded bytes go back to the pool.
-        if let Some(out) = self.outstanding.remove(&request_id) {
-            self.kernel.cancel(out.timer);
-            self.pool.recycle(out.frame_bytes);
+        if let Some(out) = self.core.outstanding.remove(&request_id) {
+            self.core.kernel.cancel(out.timer);
+            self.core.pool.recycle(out.frame_bytes);
         }
-        self.landed.insert(request_id, Landed { response, ready_at: at });
+        self.core.landed.insert(request_id, Landed { response, ready_at: at });
     }
 
-    /// Fires every kernel event due at the current clock and handles the
-    /// retry wakes and heartbeat ticks among them; re-advances each round
-    /// because a handler can arm a deadline already behind kernel time.
-    fn drain_retry_wakes(&mut self) {
-        loop {
-            self.kernel.advance_to(self.clock.now());
-            let Some(event) = self.kernel.take_ready() else { break };
-            match event {
-                KernelEvent::RetryDue { request_id, attempt } => {
-                    let now = self.clock.now();
-                    let due = self
-                        .outstanding
-                        .get(&request_id)
-                        .is_some_and(|o| o.attempt == attempt && o.deadline <= now);
-                    if due && !self.landed.contains_key(&request_id) {
-                        self.force_progress(request_id);
-                    } else {
-                        self.kernel.note_spurious();
-                    }
-                }
-                KernelEvent::HealthTick { member } => self.heartbeat_member(member as usize),
-                _ => self.kernel.note_spurious(),
-            }
-        }
+    /// A timeout is evidence against the target, not just the wire: the
+    /// retransmit goes to the next replica on the ring.
+    fn retarget(&mut self, request_id: u64) {
+        self.fail_over_target(request_id);
     }
 
-    /// Forces progress on a slot whose response has not landed.
-    ///
-    /// A `Busy`-deferred request waits out its hint, then resubmits to
-    /// its (already rotated) target with a fresh deadline — costing
-    /// neither a timeout nor a retry, and never leaving early (the
-    /// premature counter is pinned zero). A genuinely lost request waits
-    /// out its deadline and either retransmits — failing over to the next
-    /// replica, with capped exponential backoff — or, budget exhausted,
-    /// expires with an inline [`ServerResponse::Error`].
-    fn force_progress(&mut self, request_id: u64) {
-        let Some((deadline, attempt, timer, deferred)) =
-            self.outstanding.get(&request_id).map(|o| (o.deadline, o.attempt, o.timer, o.deferred))
-        else {
-            self.landed.insert(
-                request_id,
-                Landed {
-                    response: ServerResponse::Error(format!(
-                        "request {request_id} lost with no retransmission state"
-                    )),
-                    ready_at: self.clock.now(),
-                },
-            );
-            return;
+    /// A `Busy`-deferred request waits out its hint, then resubmits to its
+    /// (already rotated) target with a fresh deadline — costing neither a
+    /// timeout nor a retry, and never leaving early (the premature
+    /// counter is pinned zero).
+    fn resume_parked(&mut self, request_id: u64) -> bool {
+        let Some(out) = self.core.outstanding.get(&request_id) else {
+            return false;
         };
-        if deferred {
-            // The hint gates the uplink: the resubmission leaves at the
-            // later of "now" and the due instant, never earlier.
-            self.clock.advance_to_at_least(deadline);
-            if self.clock.now() < deadline {
-                self.stats.premature_busy_retries += 1;
-            }
-            self.kernel.cancel(timer);
-            let next_deadline = self.clock.now() + self.timeout;
-            let fresh =
-                self.kernel.arm(next_deadline, KernelEvent::RetryDue { request_id, attempt });
-            if let Some(out) = self.outstanding.get_mut(&request_id) {
-                out.deferred = false;
-                out.deadline = next_deadline;
-                out.timer = fresh;
-            }
-            self.transmit_request(request_id);
-            return;
+        if !out.route.deferred {
+            return false;
         }
-        self.transport.timeouts += 1;
-        self.clock.advance_to_at_least(deadline);
-        self.kernel.cancel(timer);
-        if attempt >= self.max_retries {
-            if let Some(out) = self.outstanding.remove(&request_id) {
-                self.pool.recycle(out.frame_bytes);
-            }
-            self.landed.insert(
-                request_id,
-                Landed {
-                    response: ServerResponse::Error(format!(
-                        "request {request_id} timed out after {} attempts",
-                        attempt + 1
-                    )),
-                    ready_at: self.clock.now(),
-                },
-            );
-            return;
+        let (deadline, attempt, timer) = (out.deadline, out.attempt, out.timer);
+        // The hint gates the uplink: the resubmission leaves at the later
+        // of "now" and the due instant, never earlier.
+        self.core.clock.advance_to_at_least(deadline);
+        if self.core.clock.now() < deadline {
+            self.stats.premature_busy_retries += 1;
         }
-        self.transport.retries += 1;
-        let shift = (attempt + 1).min(16);
-        let backoff =
-            SimDuration::from_micros(self.timeout.as_micros().saturating_mul(1u64 << shift))
-                .min(BACKOFF_CAP);
-        let next_deadline = self.clock.now() + backoff;
-        let fresh = self
-            .kernel
-            .arm(next_deadline, KernelEvent::RetryDue { request_id, attempt: attempt + 1 });
-        if let Some(out) = self.outstanding.get_mut(&request_id) {
-            out.attempt = attempt + 1;
+        self.core.kernel.cancel(timer);
+        let next_deadline = self.core.clock.now() + self.core.timeout();
+        let fresh =
+            self.core.kernel.arm(next_deadline, KernelEvent::RetryDue { request_id, attempt });
+        if let Some(out) = self.core.outstanding.get_mut(&request_id) {
+            out.route.deferred = false;
             out.deadline = next_deadline;
             out.timer = fresh;
         }
-        // A timeout is evidence against the target, not just the wire:
-        // the retransmit goes to the next replica on the ring.
-        self.fail_over_target(request_id);
-        self.transmit_request(request_id);
+        self.transmit(request_id);
+        true
     }
 
-    /// Retires window slots whose responses have already arrived.
-    fn settle(&mut self) {
-        let now = self.clock.now();
-        let arrived: Vec<u64> =
-            self.landed.iter().filter(|(_, l)| l.ready_at <= now).map(|(&rid, _)| rid).collect();
-        for rid in arrived {
-            self.window.close(rid);
+    fn on_event(&mut self, event: KernelEvent) {
+        match event {
+            KernelEvent::HealthTick { member } => self.heartbeat_member(member as usize),
+            _ => self.core.kernel.note_spurious(),
         }
     }
 }
@@ -2061,9 +1791,7 @@ pub fn simulate_fleet_workload(config: FleetWorkloadConfig) -> Result<FleetRepor
         }
     }
     let stats = fleet.service_stats();
-    audio_lat.sort_unstable();
-    let p99_rank = (audio_lat.len() * 99).div_ceil(100).saturating_sub(1);
-    let audio_p99 = audio_lat.get(p99_rank).copied().unwrap_or(SimDuration::ZERO);
+    let audio_p99 = p99(&mut audio_lat);
     Ok(FleetReport {
         elapsed: last_delivered.since(SimInstant::EPOCH),
         pages: delivered,

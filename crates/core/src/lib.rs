@@ -50,6 +50,7 @@ pub mod sched;
 pub mod session;
 pub mod tour;
 pub mod transparency;
+mod transport;
 pub mod visual;
 
 pub use audio::AudioEngine;

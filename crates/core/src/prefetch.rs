@@ -847,7 +847,6 @@ mod tests {
             recycled.pool_hits > dropped.pool_hits,
             "recycling must raise pool hits: {recycled:?} vs {dropped:?}"
         );
-        assert_eq!(recycled.payload_allocs, recycled.pool_misses);
     }
 
     #[test]

@@ -379,17 +379,6 @@ struct Slot {
     events: Vec<BrowseEvent>,
 }
 
-/// Which service loop a [`SessionScheduler`] runs per tick.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SchedMode {
-    /// Wake-list driven: the kernel fires audio deadlines and completion
-    /// wakes, and only woken sessions/connections are visited.
-    EventKernel,
-    /// The original full rotation scan, kept as the reference
-    /// implementation the equivalence tests pin the kernel path against.
-    LegacyRotation,
-}
-
 /// N concurrent browsing sessions multiplexed over one simulated link and
 /// one object server.
 ///
@@ -399,17 +388,16 @@ enum SchedMode {
 /// starve — except that audio-driven sessions always go first: their
 /// transfers have real-time deadlines, a text reader's do not.
 ///
-/// By default the tick is event-driven: the [`Kernel`] wakes exactly the
-/// audio-paced sessions and the connections the server completed work
-/// for, in the same deadline-aware order the full rotation would have
-/// produced, so an idle text session costs nothing per tick. The
-/// pre-kernel full scan survives behind [`SessionScheduler::legacy`] and
-/// is pinned byte-identical by the golden-stream equivalence tests.
+/// The tick is event-driven: the [`Kernel`] wakes exactly the audio-paced
+/// sessions and the connections the server completed work for, in the
+/// same deadline-aware order a full rotation scan would produce, so an
+/// idle text session costs nothing per tick. Golden event streams
+/// recorded from the pre-kernel full scan pin that equivalence in
+/// `tests/command_fuzz.rs`.
 pub struct SessionScheduler {
     hub: Rc<RefCell<Hub>>,
     slots: Vec<Slot>,
     cursor: usize,
-    mode: SchedMode,
     /// Slot indices of audio-driven sessions — the kernel arms their
     /// playback deadlines; everyone else sleeps until a response lands.
     audio_set: BTreeSet<usize>,
@@ -420,22 +408,10 @@ pub struct SessionScheduler {
 impl SessionScheduler {
     /// A scheduler over `server` reached through `link`.
     pub fn new(server: ObjectServer, link: Link) -> Self {
-        Self::with_mode(server, link, SchedMode::EventKernel)
-    }
-
-    /// A scheduler running the pre-kernel full rotation scan every tick.
-    /// Retained as the reference implementation for equivalence pinning;
-    /// prefer [`SessionScheduler::new`].
-    pub fn legacy(server: ObjectServer, link: Link) -> Self {
-        Self::with_mode(server, link, SchedMode::LegacyRotation)
-    }
-
-    fn with_mode(server: ObjectServer, link: Link, mode: SchedMode) -> Self {
         SessionScheduler {
             hub: Rc::new(RefCell::new(Hub::new(server, link))),
             slots: Vec::new(),
             cursor: 0,
-            mode,
             audio_set: BTreeSet::new(),
             conn_slots: HashMap::new(),
         }
@@ -533,44 +509,13 @@ impl SessionScheduler {
     /// service loop in deadline-aware order. Events produced by the tick
     /// accumulate per session; drain them with
     /// [`SessionScheduler::drain_events`].
+    ///
+    /// A visual session's per-tick advance is a pure no-op and an idle
+    /// connection's pump visit finds nothing, so the tick visits only
+    /// sessions with an armed audio deadline and connections with a
+    /// completion wake, in the deadline-aware relative order a full scan
+    /// of every session and connection would visit them.
     pub fn tick(&mut self, dt: SimDuration) {
-        match self.mode {
-            SchedMode::EventKernel => self.tick_kernel(dt),
-            SchedMode::LegacyRotation => self.tick_legacy(dt),
-        }
-    }
-
-    /// The reference full scan: ticks every session and pumps every
-    /// connection, woken or not.
-    fn tick_legacy(&mut self, dt: SimDuration) {
-        let order = self.service_order();
-        for &SessionKey(i) in &order {
-            if let Some(slot) = self.slots.get_mut(i) {
-                let events = slot.session.tick(dt);
-                slot.events.extend(events);
-            }
-        }
-        let conns: Vec<u64> = order
-            .iter()
-            .filter_map(|&SessionKey(i)| self.slots.get(i).map(|s| s.conn_id))
-            .collect();
-        let mut hub = self.hub.borrow_mut();
-        hub.pump(&conns);
-        // The legacy scan never consults the wake list; drain it so marks
-        // cannot pile up across a mode's lifetime.
-        let _ = hub.server.take_woken();
-        hub.clock.advance(dt);
-        drop(hub);
-        self.cursor = (self.cursor + 1) % self.slots.len().max(1);
-    }
-
-    /// The event-driven tick. A visual session's per-tick advance is a
-    /// pure no-op and an idle connection's pump visit finds nothing, so
-    /// this path visits only sessions with an armed audio deadline and
-    /// connections with a completion wake — byte-identical to the full
-    /// scan because it preserves the scan's deadline-aware relative
-    /// order for exactly the members the scan would have done work for.
-    fn tick_kernel(&mut self, dt: SimDuration) {
         let n = self.slots.len();
         if n == 0 {
             let mut hub = self.hub.borrow_mut();
@@ -579,8 +524,8 @@ impl SessionScheduler {
             return;
         }
         let cursor = self.cursor;
-        // Audio-first ordering must see the same mode snapshot the legacy
-        // scan's single pre-tick service_order() saw.
+        // Audio-first ordering must see the mode snapshot from before the
+        // tick, as a full scan's single pre-tick service_order() would.
         let audio_before = self.audio_set.clone();
         // Fire this tick's audio playback deadlines through the kernel.
         let mut audio_wake: Vec<usize> = Vec::new();
@@ -649,8 +594,7 @@ impl SessionScheduler {
     }
 
     /// The event kernel's counters: events fired, timers armed, spurious
-    /// wakes, and the ready queue's high-water mark. Zeros under
-    /// [`SessionScheduler::legacy`].
+    /// wakes, and the ready queue's high-water mark.
     pub fn kernel_stats(&self) -> KernelStats {
         self.hub.borrow().kernel.stats()
     }
@@ -927,6 +871,16 @@ impl OverloadReport {
     }
 }
 
+/// The 99th-percentile latency of `samples` by nearest rank — the
+/// smallest sample at or above 99 % of them — or zero when there are
+/// none. Sorts `samples` in place, so the caller can read the maximum off
+/// the end.
+pub(crate) fn p99(samples: &mut [SimDuration]) -> SimDuration {
+    samples.sort_unstable();
+    let rank = (samples.len() * 99).div_ceil(100).saturating_sub(1);
+    samples.get(rank).copied().unwrap_or(SimDuration::ZERO)
+}
+
 /// Runs the E14 workload: `sessions` concurrent readers, each keeping
 /// [`OVERLOAD_WINDOW`] demand pages in flight and fanning every demand
 /// page out into [`OVERLOAD_PREFETCH_FACTOR`] speculative prefetch-class
@@ -1174,14 +1128,13 @@ pub fn simulate_overload_workload(
             }
         }
     }
-    audio_lat.sort();
-    let p99_rank = (audio_lat.len() * 99).div_ceil(100).saturating_sub(1);
+    let audio_p99 = p99(&mut audio_lat);
     let stats = server.service_stats();
     Ok(OverloadReport {
         elapsed: last_delivered.since(SimInstant::EPOCH),
         pages: delivered,
         audio_pages,
-        audio_p99: audio_lat.get(p99_rank).copied().unwrap_or(SimDuration::ZERO),
+        audio_p99,
         audio_worst: audio_lat.last().copied().unwrap_or(SimDuration::ZERO),
         offered,
         prefetch_served,
@@ -1189,7 +1142,7 @@ pub fn simulate_overload_workload(
         busy_rejections: stats.busy_rejections,
         queue_high_water: stats.queue_high_water,
         bytes: link.stats().bytes,
-        payload_allocs: stats.payload_allocs,
+        payload_allocs: stats.pool_misses,
         busy_retries,
         premature_retries,
     })
@@ -1259,7 +1212,7 @@ pub fn simulate_page_workload(
                 elapsed: now.since(SimInstant::EPOCH),
                 pages: delivered,
                 bytes: link.stats().bytes,
-                payload_allocs: server.service_stats().payload_allocs,
+                payload_allocs: server.service_stats().pool_misses,
             })
         }
         TransportMode::Pipelined { window } => {
@@ -1323,7 +1276,7 @@ pub fn simulate_page_workload(
                 elapsed: last_delivered.since(SimInstant::EPOCH),
                 pages: delivered,
                 bytes: link.stats().bytes,
-                payload_allocs: server.service_stats().payload_allocs,
+                payload_allocs: server.service_stats().pool_misses,
             })
         }
     }
@@ -1494,8 +1447,6 @@ pub fn simulate_sched_workload(
             );
         }
     }
-    audio_lat.sort();
-    let p99_rank = (audio_lat.len() * 99).div_ceil(100).saturating_sub(1);
     let stats = kernel.stats();
     Ok(SchedReport {
         sessions: sessions as u64,
@@ -1507,7 +1458,7 @@ pub fn simulate_sched_workload(
         timers_armed: stats.timers_armed,
         spurious_wakes: stats.spurious_wakes,
         ready_high_water: stats.ready_high_water,
-        audio_p99: audio_lat.get(p99_rank).copied().unwrap_or(SimDuration::ZERO),
+        audio_p99: p99(&mut audio_lat),
         sim_elapsed: kernel.now().since(SimInstant::EPOCH),
     })
 }
@@ -1883,44 +1834,46 @@ mod tests {
     }
 
     #[test]
-    fn kernel_and_legacy_ticks_produce_identical_event_streams() {
-        // The in-module equivalence smoke (the fuzzed golden-stream
-        // harness lives in tests/command_fuzz.rs): same sessions, same
-        // commands, same ticks — byte-identical events and transfer
-        // accounting in both modes.
+    fn ticks_reproduce_the_full_scan_event_stream() {
+        // Golden values recorded from the pre-kernel full rotation scan
+        // (the fuzzed multi-seed streams live in tests/command_fuzz.rs):
+        // same sessions, same commands, same ticks — identical events and
+        // transfer accounting.
+        use BrowseEvent::*;
         let config = PaginateConfig::default();
         let page = SimDuration::from_secs(5);
-        let run = |legacy: bool| {
-            let mut sched = if legacy {
-                SessionScheduler::legacy(corpus_server(), Link::ethernet())
-            } else {
-                SessionScheduler::new(corpus_server(), Link::ethernet())
-            };
-            let (map_key, open_map) = sched.open(ObjectId::new(3), config, page).unwrap();
-            let (audio_key, open_audio) = sched.open(ObjectId::new(2), config, page).unwrap();
-            let (report_key, open_report) = sched.open(ObjectId::new(1), config, page).unwrap();
-            let mut events = vec![open_map, open_audio, open_report];
-            for _ in 0..3 {
-                sched.tick(SimDuration::from_secs(1));
-            }
-            events.push(sched.apply(map_key, BrowseCommand::SelectRelevant(0)).unwrap());
-            events.push(sched.apply(report_key, BrowseCommand::NextPage).unwrap());
-            sched.tick(SimDuration::from_secs(2));
-            events.push(sched.apply(audio_key, BrowseCommand::Interrupt).unwrap());
-            sched.tick(SimDuration::from_secs(2));
-            for key in [map_key, audio_key, report_key] {
-                events.push(sched.drain_events(key).unwrap());
-            }
-            (events, sched.link_stats(), sched.elapsed(), sched.kernel_stats())
-        };
-        let (kernel_events, kernel_link, kernel_elapsed, kernel_stats) = run(false);
-        let (legacy_events, legacy_link, legacy_elapsed, legacy_stats) = run(true);
-        assert_eq!(kernel_events, legacy_events);
-        assert_eq!(kernel_link, legacy_link);
-        assert_eq!(kernel_elapsed, legacy_elapsed);
-        // Only the kernel path goes through the event kernel.
-        assert!(kernel_stats.events_fired > 0);
-        assert_eq!(legacy_stats, KernelStats::default());
+        let mut sched = SessionScheduler::new(corpus_server(), Link::ethernet());
+        let (map_key, open_map) = sched.open(ObjectId::new(3), config, page).unwrap();
+        let (audio_key, open_audio) = sched.open(ObjectId::new(2), config, page).unwrap();
+        let (report_key, open_report) = sched.open(ObjectId::new(1), config, page).unwrap();
+        let mut events = vec![open_map, open_audio, open_report];
+        for _ in 0..3 {
+            sched.tick(SimDuration::from_secs(1));
+        }
+        events.push(sched.apply(map_key, BrowseCommand::SelectRelevant(0)).unwrap());
+        events.push(sched.apply(report_key, BrowseCommand::NextPage).unwrap());
+        sched.tick(SimDuration::from_secs(2));
+        events.push(sched.apply(audio_key, BrowseCommand::Interrupt).unwrap());
+        sched.tick(SimDuration::from_secs(2));
+        for key in [map_key, audio_key, report_key] {
+            events.push(sched.drain_events(key).unwrap());
+        }
+        let expected: Vec<Vec<BrowseEvent>> = vec![
+            vec![PageShown(0)],
+            vec![VoicePosition(SimInstant::EPOCH), PageShown(0)],
+            vec![PageShown(0)],
+            vec![EnteredRelevant(ObjectId::new(4)), PageShown(0)],
+            vec![PageShown(0)],
+            vec![VoicePosition(SimInstant::from_micros(5_000_000))],
+            vec![],
+            vec![CrossedIntoPage(1)],
+            vec![],
+        ];
+        assert_eq!(events, expected);
+        let link = sched.link_stats();
+        assert_eq!((link.messages, link.bytes, link.busy.as_micros()), (10, 873_862, 719_096));
+        assert_eq!(sched.elapsed().as_micros(), 10_877_792);
+        assert!(sched.kernel_stats().events_fired > 0, "the tick runs on the event kernel");
     }
 
     #[test]
@@ -1932,6 +1885,18 @@ mod tests {
         let (audio, _) = sched.open(ObjectId::new(2), config, page).unwrap();
         assert_eq!(sched.session(visual).unwrap().store().demand_class(), Priority::Demand);
         assert_eq!(sched.session(audio).unwrap().store().demand_class(), Priority::Audio);
+    }
+
+    #[test]
+    fn p99_is_the_nearest_rank() {
+        let ms = SimDuration::from_millis;
+        assert_eq!(p99(&mut []), SimDuration::ZERO);
+        assert_eq!(p99(&mut [ms(7)]), ms(7));
+        let mut hundred: Vec<SimDuration> = (1..=100).rev().map(ms).collect();
+        assert_eq!(p99(&mut hundred), ms(99));
+        assert_eq!(hundred.last(), Some(&ms(100)), "samples are left sorted");
+        let mut hundred_one: Vec<SimDuration> = (1..=101).map(ms).collect();
+        assert_eq!(p99(&mut hundred_one), ms(100));
     }
 
     #[test]

@@ -1072,12 +1072,10 @@ mod tests {
             "later rounds must not allocate: {stats:?}"
         );
         assert!(stats.pool_hits > 0, "rounds two and three lease recycled buffers: {stats:?}");
-        assert_eq!(stats.payload_allocs, stats.pool_misses);
         server.reset_service_stats();
         let cleared = server.service_stats();
         assert_eq!(cleared.pool_hits, 0);
         assert_eq!(cleared.pool_misses, 0);
-        assert_eq!(cleared.payload_allocs, 0);
     }
 
     #[test]

@@ -88,12 +88,9 @@ pub struct ServiceStats {
     pub queue_high_water: u64,
     /// Payload-buffer pool leases served from a recycled buffer.
     pub pool_hits: u64,
-    /// Payload-buffer pool leases that had to allocate fresh.
+    /// Payload-buffer pool leases that had to allocate fresh — the fresh
+    /// payload-buffer allocations on the serving hot path.
     pub pool_misses: u64,
-    /// Fresh payload-buffer allocations on the serving hot path (equals
-    /// `pool_misses`; kept as its own counter so reports can aggregate the
-    /// transport and service sides uniformly).
-    pub payload_allocs: u64,
     /// Per-connection service accounting.
     pub per_connection: BTreeMap<u64, ConnectionServiceStats>,
 }
@@ -114,7 +111,6 @@ impl ServiceStats {
         self.queue_high_water = self.queue_high_water.max(other.queue_high_water);
         self.pool_hits += other.pool_hits;
         self.pool_misses += other.pool_misses;
-        self.payload_allocs += other.payload_allocs;
         for (&conn, theirs) in &other.per_connection {
             let ours = self.per_connection.entry(conn).or_default();
             ours.served += theirs.served;
@@ -373,7 +369,6 @@ impl ServiceQueue {
             self.stats.pool_hits += 1;
         } else {
             self.stats.pool_misses += 1;
-            self.stats.payload_allocs += 1;
         }
     }
 

@@ -74,29 +74,23 @@ fn command(choice: u8, n: u8) -> BrowseCommand {
 }
 
 /// Deterministic LCG driving the golden-stream scripts. Not proptest:
-/// the seeds are pinned, so the kernel and legacy schedulers replay the
-/// exact same script and their event streams can be compared byte for
-/// byte.
+/// the seeds are pinned, so every run replays the exact same script and
+/// its event stream can be compared against the recorded golden values.
 fn lcg_next(state: &mut u64) -> u64 {
     *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
     *state >> 33
 }
 
-/// Replays `seed`'s script against a scheduler in the given mode and
-/// returns everything observable: every apply result, every drained tick
-/// event stream, the shared-link accounting, and the elapsed sim time.
+/// Replays `seed`'s script against a scheduler and returns everything
+/// observable: every apply result, every drained tick event stream, the
+/// shared-link accounting, and the elapsed sim time.
 fn golden_stream(
-    legacy: bool,
     seed: u64,
     sessions: usize,
 ) -> (Vec<Option<Vec<BrowseEvent>>>, LinkStats, SimDuration) {
     let config = PaginateConfig::default();
     let page = SimDuration::from_secs(5);
-    let mut sched = if legacy {
-        SessionScheduler::legacy(corpus_server(), Link::ethernet())
-    } else {
-        SessionScheduler::new(corpus_server(), Link::ethernet())
-    };
+    let mut sched = SessionScheduler::new(corpus_server(), Link::ethernet());
     let mut stream = Vec::new();
     let mut keys = Vec::new();
     for i in 0..sessions {
@@ -119,23 +113,44 @@ fn golden_stream(
     (stream, sched.link_stats(), sched.elapsed())
 }
 
+/// Golden values per seed, recorded from the pre-kernel full-rotation
+/// scan (and matched by the event-driven tick when it was recorded):
+/// `(seed, CRC-32 of the stream's Debug rendering, stream entries, link
+/// messages, link bytes, link busy µs, elapsed µs)`.
+const GOLDEN_STREAMS: [(u64, u32, usize, u64, u64, u64, u64); 10] = [
+    (1, 0x022922a1, 30, 10, 873_862, 719_096, 61_136_870),
+    (2, 0x9fd2b8c2, 32, 14, 993_444, 822_764, 61_927_196),
+    (3, 0x2f844657, 34, 14, 1_511_087, 1_236_879, 67_570_156),
+    (5, 0x42ab2d2a, 38, 22, 1_788_406, 1_474_739, 61_214_762),
+    (8, 0xe16b0438, 44, 32, 2_662_268, 2_193_835, 86_445_328),
+    (13, 0x9b7566fe, 54, 50, 4_369_310, 3_595_480, 85_047_134),
+    (21, 0x7362a9a4, 40, 24, 2_384_949, 1_955_975, 69_794_722),
+    (34, 0xa8b647d8, 36, 20, 1_747_724, 1_438_192, 71_301_436),
+    (55, 0xe7f134dd, 48, 40, 3_495_448, 2_876_384, 83_759_568),
+    (89, 0x98713335, 56, 52, 4_409_992, 3_632_027, 80_251_460),
+];
+
 #[test]
 fn kernel_scheduler_matches_legacy_rotation_golden_streams() {
-    // The equivalence pin for the event-driven tick: across ≥8 pinned
-    // seeds and fleet sizes up to 16, the kernel-mode scheduler and the
-    // legacy full-rotation scan must produce byte-identical session
-    // event streams, identical shared-link accounting, and identical
-    // simulated time.
-    for seed in [1u64, 2, 3, 5, 8, 13, 21, 34, 55, 89] {
+    // The equivalence pin for the event-driven tick: across ten pinned
+    // seeds and fleet sizes up to 16, the scheduler must reproduce the
+    // full-rotation scan's session event streams, shared-link accounting
+    // and simulated time exactly.
+    for (seed, digest, entries, messages, bytes, busy_us, elapsed_us) in GOLDEN_STREAMS {
         let sessions = 2 + (seed as usize % 15); // 2..=16
-        let (kernel_stream, kernel_link, kernel_elapsed) = golden_stream(false, seed, sessions);
-        let (legacy_stream, legacy_link, legacy_elapsed) = golden_stream(true, seed, sessions);
+        let (stream, link, elapsed) = golden_stream(seed, sessions);
+        assert_eq!(stream.len(), entries, "stream length at seed {seed}");
         assert_eq!(
-            kernel_stream, legacy_stream,
+            minos::net::crc32(format!("{stream:?}").as_bytes()),
+            digest,
             "event streams diverged at seed {seed} with {sessions} sessions"
         );
-        assert_eq!(kernel_link, legacy_link, "link accounting diverged at seed {seed}");
-        assert_eq!(kernel_elapsed, legacy_elapsed, "sim time diverged at seed {seed}");
+        assert_eq!(
+            (link.messages, link.bytes, link.busy.as_micros()),
+            (messages, bytes, busy_us),
+            "link accounting diverged at seed {seed}"
+        );
+        assert_eq!(elapsed.as_micros(), elapsed_us, "sim time diverged at seed {seed}");
     }
 }
 
