@@ -245,7 +245,9 @@ impl<E: ServerEndpoint> Connection<E> {
     /// plain-value requests are copied field-for-field onto the clean
     /// path's typed frame, and anything that owns heap data (or any
     /// request on a faulty link) encodes straight from the borrow into a
-    /// pooled buffer.
+    /// pooled buffer, with the retransmission state that brings. A caller
+    /// that owns its request should `submit` it instead: on a clean link
+    /// even a heap-carrying request then keeps no retransmission state.
     pub fn submit_ref(&mut self, request: &ServerRequest) -> Ticket {
         let request_id = self.admit();
         match request.plain_copy() {
@@ -587,6 +589,20 @@ impl<E: ServerEndpoint> Workstation<E> {
     /// + response transfer, and surfacing server-side errors.
     pub fn request(&mut self, request: &ServerRequest) -> Result<ServerResponse> {
         let ticket = self.conn.submit_ref(request);
+        self.collect(ticket)
+    }
+
+    /// [`Workstation::request`] for a request built for this call: it is
+    /// moved into the submission, so on a clean link it rides the typed
+    /// fast path (no encode, no retransmit deadline) even when it carries
+    /// heap data, without being cloned.
+    fn request_owned(&mut self, request: ServerRequest) -> Result<ServerResponse> {
+        let ticket = self.conn.submit(request);
+        self.collect(ticket)
+    }
+
+    /// Waits for `ticket`, surfacing a server-side error as `Err`.
+    fn collect(&mut self, ticket: Ticket) -> Result<ServerResponse> {
         let (response, _) = self.conn.wait(ticket)?;
         if let ServerResponse::Error(message) = response {
             return Err(MinosError::Protocol(message));
@@ -607,7 +623,7 @@ impl<E: ServerEndpoint> Workstation<E> {
     /// Fetches the whole archived object (descriptor + composition),
     /// decoding it against its archive base.
     pub fn fetch_object(&mut self, id: ObjectId, archive_base: u64) -> Result<ArchivedObject> {
-        match self.request(&ServerRequest::FetchObject { id })? {
+        match self.request_owned(ServerRequest::FetchObject { id })? {
             ServerResponse::Object(bytes) => {
                 ArchivedObject::decode_from_archive(&bytes, archive_base)
             }
@@ -618,7 +634,7 @@ impl<E: ServerEndpoint> Workstation<E> {
     /// Fetches the window of an image through a view — only the window's
     /// bytes cross the link.
     pub fn fetch_view(&mut self, id: ObjectId, image: usize, rect: Rect) -> Result<Bitmap> {
-        match self.request(&ServerRequest::FetchView { id, tag: image.to_string(), rect })? {
+        match self.request_owned(ServerRequest::FetchView { id, tag: image.to_string(), rect })? {
             ServerResponse::View(bytes) => DataPayload { kind: DataKind::Image, bytes }.as_image(),
             other => Err(MinosError::Protocol(format!("unexpected response {other:?}"))),
         }
@@ -626,7 +642,7 @@ impl<E: ServerEndpoint> Workstation<E> {
 
     /// Fetches an object's miniature.
     pub fn fetch_miniature(&mut self, id: ObjectId) -> Result<Bitmap> {
-        match self.request(&ServerRequest::FetchMiniature { id })? {
+        match self.request_owned(ServerRequest::FetchMiniature { id })? {
             ServerResponse::Miniature(bytes) => {
                 DataPayload { kind: DataKind::Image, bytes }.as_image()
             }
@@ -638,7 +654,7 @@ impl<E: ServerEndpoint> Workstation<E> {
     pub fn query(&mut self, keywords: &[&str]) -> Result<Vec<ObjectId>> {
         let request =
             ServerRequest::Query { keywords: keywords.iter().map(|s| s.to_string()).collect() };
-        match self.request(&request)? {
+        match self.request_owned(request)? {
             ServerResponse::Hits(ids) => Ok(ids),
             other => Err(MinosError::Protocol(format!("unexpected response {other:?}"))),
         }
@@ -648,7 +664,7 @@ impl<E: ServerEndpoint> Workstation<E> {
     pub fn query_attribute(&mut self, name: &str, value: &str) -> Result<Vec<ObjectId>> {
         let request =
             ServerRequest::QueryAttribute { name: name.to_string(), value: value.to_string() };
-        match self.request(&request)? {
+        match self.request_owned(request)? {
             ServerResponse::Hits(ids) => Ok(ids),
             other => Err(MinosError::Protocol(format!("unexpected response {other:?}"))),
         }
@@ -742,6 +758,25 @@ mod tests {
         let hits = ws.query(&["shadow"]).unwrap();
         assert_eq!(hits, vec![ObjectId::new(1)]);
         assert!(ws.bytes_transferred() < 200, "query moved {} bytes", ws.bytes_transferred());
+    }
+
+    #[test]
+    fn clean_link_queries_and_views_arm_no_deadlines() {
+        // A clean link never loses a frame, so the heap-carrying requests
+        // the workstation builds ride the typed fast path: no encode, no
+        // outstanding entry, no retransmit deadline. Elapsed time and link
+        // bytes are the values the encoded path produced.
+        let (mut ws, _) = workstation();
+        for keywords in [["shadow"], ["the"], ["map"], ["station"], ["nothing"]] {
+            ws.query(&keywords).unwrap();
+        }
+        for (x, y) in [(0, 0), (63, 17), (700, 550)] {
+            ws.fetch_view(ObjectId::new(2), 0, Rect::new(x, y, 200, 150)).unwrap();
+        }
+        assert_eq!(ws.connection().kernel_stats().timers_armed, 0);
+        assert_eq!(ws.elapsed().as_micros(), 263_933);
+        assert_eq!(ws.bytes_transferred(), 11_587);
+        assert_eq!(ws.connection().link_stats().messages, 16);
     }
 
     #[test]

@@ -8,6 +8,17 @@
 //! through), and masked blits for overwrites (§2: overwrite content
 //! "replace\[s\] whatever existed in the previous page but … leave\[s\]
 //! anything else intact").
+//!
+//! Each row starts on a fresh word, and the bits past `width` in a row's
+//! last word are always zero. [`Bitmap::set`] never writes there, the
+//! derived `PartialEq` relies on it, and the word kernels below rely on it
+//! too. The kernels on the server's view path move whole words rather
+//! than pixels: [`Bitmap::extract`] (a view window), the image payload
+//! stream ([`Bitmap::pack_bits_into`], [`Bitmap::from_packed_bits`]) and
+//! the miniature's OR-downsampling are all built from one shifted read of
+//! 64 bits at any bit offset plus one row-tail mask, so a 160 × 120 window
+//! costs a few hundred word operations instead of 19,200 bounds-checked
+//! pixel reads and writes.
 
 use minos_types::{MinosError, Point, Rect, Result, Size};
 
@@ -30,9 +41,38 @@ pub struct Bitmap {
     width: u32,
     height: u32,
     /// Row-major, `words_per_row` u64 words per row, LSB-first within each
-    /// word.
+    /// word. Bits past `width` in a row's last word are always zero.
     words: Vec<u64>,
     words_per_row: u32,
+}
+
+/// Mask of the bits of a row's last word that lie inside a row of `bits`
+/// pixels: all ones when `bits` is a multiple of 64. For `1 ≤ bits ≤ 64`
+/// it is simply the low `bits` bits.
+fn tail_mask(bits: u32) -> u64 {
+    u64::MAX >> ((64 - bits % 64) % 64)
+}
+
+/// The 64 bits of `row` starting at bit `bit`, LSB-first; bits past the
+/// end of `row` read as zero.
+fn read_bits(row: &[u64], bit: usize) -> u64 {
+    let (word, shift) = (bit / 64, bit % 64);
+    let low = row.get(word).map_or(0, |w| w >> shift);
+    if shift == 0 {
+        return low;
+    }
+    low | row.get(word + 1).map_or(0, |w| w << (64 - shift))
+}
+
+/// Fills `dst` (one destination row) with the bits of `src` from bit
+/// `bit` on, masking the row's last word with `mask`.
+fn copy_bits(dst: &mut [u64], src: &[u64], bit: usize, mask: u64) {
+    for (i, word) in dst.iter_mut().enumerate() {
+        *word = read_bits(src, bit + 64 * i);
+    }
+    if let Some(last) = dst.last_mut() {
+        *last &= mask;
+    }
 }
 
 impl Bitmap {
@@ -76,6 +116,11 @@ impl Bitmap {
     /// the simulated network and disks.
     pub fn byte_size(&self) -> u64 {
         self.words.len() as u64 * 8
+    }
+
+    /// Words per row.
+    fn words_per_row(&self) -> usize {
+        self.words_per_row as usize
     }
 
     #[inline]
@@ -139,14 +184,108 @@ impl Bitmap {
             )));
         }
         let mut out = Bitmap::new(rect.size.width, rect.size.height);
-        for y in 0..rect.size.height as i32 {
-            for x in 0..rect.size.width as i32 {
-                if self.get(rect.left() + x, rect.top() + y) {
-                    out.set(x, y, true);
+        let out_words = out.words_per_row();
+        if out_words == 0 {
+            return Ok(out);
+        }
+        // Each window word is one shifted read of its source row.
+        let mask = tail_mask(out.width);
+        let rows = self.words.chunks_exact(self.words_per_row()).skip(rect.top() as usize);
+        for (dst, src) in out.words.chunks_exact_mut(out_words).zip(rows) {
+            copy_bits(dst, src, rect.left() as usize, mask);
+        }
+        Ok(out)
+    }
+
+    /// Appends the pixels to `out` as a bit stream: row-major, LSB-first
+    /// within each byte, rows not padded apart, and the last byte
+    /// zero-filled — `⌈width × height / 8⌉` bytes, the device-independent
+    /// form of an image payload.
+    pub fn pack_bits_into(&self, out: &mut Vec<u8>) {
+        out.reserve((self.width as u64 * self.height as u64).div_ceil(8) as usize);
+        if self.words_per_row() == 0 {
+            return;
+        }
+        // `acc` holds the `filled` (< 64) stream bits not yet written.
+        let mut acc = 0u64;
+        let mut filled = 0u32;
+        for row in self.words.chunks_exact(self.words_per_row()) {
+            let mut left = self.width;
+            for &word in row {
+                let bits = left.min(64);
+                left -= bits;
+                acc |= word << filled;
+                if filled + bits >= 64 {
+                    out.extend_from_slice(&acc.to_le_bytes());
+                    acc = if filled == 0 { 0 } else { word >> (64 - filled) };
+                    filled = filled + bits - 64;
+                } else {
+                    filled += bits;
                 }
             }
         }
-        Ok(out)
+        out.extend_from_slice(&acc.to_le_bytes()[..filled.div_ceil(8) as usize]);
+    }
+
+    /// Rebuilds a `width × height` bitmap from the bit stream written by
+    /// [`Bitmap::pack_bits_into`]. Bits past the last pixel (the stray
+    /// high bits of a partial last byte, or trailing bytes) are ignored,
+    /// and pixels past the end of `bits` read as background.
+    pub fn from_packed_bits(width: u32, height: u32, bits: &[u8]) -> Bitmap {
+        let mut bm = Bitmap::new(width, height);
+        let row_words = bm.words_per_row();
+        if row_words == 0 {
+            return bm;
+        }
+        let stream: Vec<u64> = bits
+            .chunks(8)
+            .map(|chunk| {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                u64::from_le_bytes(word)
+            })
+            .collect();
+        // Each row is a window of the stream starting at bit `y × width`.
+        let mask = tail_mask(width);
+        for (y, dst) in bm.words.chunks_exact_mut(row_words).enumerate() {
+            copy_bits(dst, &stream, y * width as usize, mask);
+        }
+        bm
+    }
+
+    /// OR-downsamples by `factor`: output pixel `(x, y)` is ink if any
+    /// pixel of the `factor × factor` block at `(x·factor, y·factor)` is
+    /// (blocks at the right and bottom edges are clipped). Each output
+    /// row ORs its `factor` source rows together word by word, then tests
+    /// each `factor`-bit group of that band with a mask — several reads
+    /// when the factor is wider than a word.
+    pub(crate) fn or_downsample(&self, factor: u32) -> Bitmap {
+        assert!(factor > 0, "factor must be positive");
+        let mut out = Bitmap::new(self.width.div_ceil(factor), self.height.div_ceil(factor));
+        let (src_words, out_words) = (self.words_per_row(), out.words_per_row());
+        if src_words == 0 {
+            return out;
+        }
+        let f = factor as usize;
+        let mut band = vec![0u64; src_words];
+        let bands = self.words.chunks(src_words * f);
+        for (rows, dst) in bands.zip(out.words.chunks_exact_mut(out_words)) {
+            band.fill(0);
+            for row in rows.chunks_exact(src_words) {
+                for (b, w) in band.iter_mut().zip(row) {
+                    *b |= w;
+                }
+            }
+            for x in 0..out.width as usize {
+                let ink = (0..f)
+                    .step_by(64)
+                    .any(|k| read_bits(&band, x * f + k) & tail_mask((f - k).min(64) as u32) != 0);
+                if ink {
+                    dst[x / 64] |= 1 << (x % 64);
+                }
+            }
+        }
+        out
     }
 
     /// Blits `src` onto `self` with its top-left corner at `at`, combining

@@ -29,23 +29,7 @@ impl Miniature {
     /// any covered full pixel is ink, which keeps thin strokes (subway
     /// lines, polygon outlines) visible at small scale.
     pub fn build(full: &Bitmap, factor: u32) -> Self {
-        assert!(factor > 0, "factor must be positive");
-        let w = full.width().div_ceil(factor);
-        let h = full.height().div_ceil(factor);
-        let mut raster = Bitmap::new(w, h);
-        for y in 0..h as i32 {
-            for x in 0..w as i32 {
-                'block: for by in 0..factor as i32 {
-                    for bx in 0..factor as i32 {
-                        if full.get(x * factor as i32 + bx, y * factor as i32 + by) {
-                            raster.set(x, y, true);
-                            break 'block;
-                        }
-                    }
-                }
-            }
-        }
-        Miniature { raster, full_size: full.size(), factor }
+        Miniature { raster: full.or_downsample(factor), full_size: full.size(), factor }
     }
 
     /// The miniature raster.

@@ -65,34 +65,20 @@ impl DataPayload {
             .map_err(|e| MinosError::Codec(format!("invalid utf-8 in text payload: {e}")))
     }
 
-    /// An image payload: bit-packed raster with a small header.
+    /// An image payload: bit-packed raster with a small header — width,
+    /// height, then the pixels as [`Bitmap::pack_bits_into`]'s row-major
+    /// bit stream, 8 per byte, for a device-independent form.
     pub fn image(bitmap: &Bitmap) -> Self {
         let mut e = Encoder::with_capacity(16 + bitmap.byte_size() as usize);
         e.put_u32(bitmap.width());
         e.put_u32(bitmap.height());
-        // Row-major bits, packed 8 per byte for a device-independent form.
-        let mut byte = 0u8;
-        let mut nbits = 0;
-        for y in 0..bitmap.height() as i32 {
-            for x in 0..bitmap.width() as i32 {
-                if bitmap.get(x, y) {
-                    byte |= 1 << nbits;
-                }
-                nbits += 1;
-                if nbits == 8 {
-                    e.put_u8(byte);
-                    byte = 0;
-                    nbits = 0;
-                }
-            }
-        }
-        if nbits > 0 {
-            e.put_u8(byte);
-        }
-        DataPayload { kind: DataKind::Image, bytes: e.finish() }
+        let mut bytes = e.finish();
+        bitmap.pack_bits_into(&mut bytes);
+        DataPayload { kind: DataKind::Image, bytes }
     }
 
-    /// Decodes an image payload.
+    /// Decodes an image payload. Stray bits past the last pixel in the
+    /// final byte are ignored.
     pub fn as_image(&self) -> Result<Bitmap> {
         if self.kind != DataKind::Image {
             return Err(MinosError::Codec("payload is not an image".into()));
@@ -103,18 +89,8 @@ impl DataPayload {
         let total_bits = width as u64 * height as u64;
         let need = total_bits.div_ceil(8) as usize;
         let data = d.get_raw(need)?;
-        let mut bm = Bitmap::new(width, height);
-        let mut bit = 0u64;
-        for y in 0..height as i32 {
-            for x in 0..width as i32 {
-                if data[(bit / 8) as usize] & (1 << (bit % 8)) != 0 {
-                    bm.set(x, y, true);
-                }
-                bit += 1;
-            }
-        }
         d.expect_end()?;
-        Ok(bm)
+        Ok(Bitmap::from_packed_bits(width, height, data))
     }
 
     /// A voice payload: sample rate plus 16-bit little-endian samples.
@@ -224,9 +200,9 @@ mod tests {
 
         #[test]
         fn image_round_trips_arbitrary(
-            w in 1u32..40,
-            h in 1u32..20,
-            pts in proptest::collection::vec((0i32..40, 0i32..20), 0..64),
+            w in 0u32..300,
+            h in 0u32..20,
+            pts in proptest::collection::vec((0i32..300, 0i32..20), 0..256),
         ) {
             let mut bm = Bitmap::new(w, h);
             for (x, y) in pts {

@@ -44,6 +44,10 @@ pub struct ObjectServer {
     /// Recycled payload buffers for span reads: steady-state serving
     /// re-fills returned buffers instead of allocating one per page.
     pool: BufferPool,
+    /// Where view and miniature requests read the device bytes they are
+    /// charged for; the reply is rendered from the resident raster, so
+    /// the bytes are overwritten by the next such read.
+    device_scratch: Vec<u8>,
     epoch: u64,
 }
 
@@ -67,6 +71,7 @@ impl ObjectServer {
             miniature_factor: 8,
             service: ServiceQueue::default(),
             pool: BufferPool::new(),
+            device_scratch: Vec::new(),
             epoch: 0,
         }
     }
@@ -232,11 +237,13 @@ impl ObjectServer {
                 let clamped = rect.clamp_within(raster.bounds());
                 let window = raster.extract(clamped)?;
                 // The device is charged for the *window's* bytes read from
-                // the image region — the E5 claim made concrete.
+                // the image region — the E5 claim made concrete. The bytes
+                // themselves are not needed, so they land in the scratch
+                // buffer.
                 let record = self.archiver.latest(*id)?;
                 let window_bytes = window.byte_size().min(record.span.len());
                 let span = ByteSpan::at(record.span.start, window_bytes);
-                let (_, took) = self.archiver.read_at(span)?;
+                let took = self.archiver.read_at_into(span, &mut self.device_scratch)?;
                 Ok((ServerResponse::View(DataPayload::image(&window).bytes), took))
             }
             ServerRequest::FetchMiniature { id } => {
@@ -244,12 +251,12 @@ impl ObjectServer {
                     .resident
                     .get(id)
                     .ok_or_else(|| MinosError::UnknownObject(id.to_string()))?;
-                let mini = resident.miniature.raster().clone();
+                let mini = resident.miniature.raster();
                 let record = self.archiver.latest(*id)?;
                 let bytes = mini.byte_size().min(record.span.len());
                 let span = ByteSpan::at(record.span.start, bytes);
-                let (_, took) = self.archiver.read_at(span)?;
-                Ok((ServerResponse::Miniature(DataPayload::image(&mini).bytes), took))
+                let took = self.archiver.read_at_into(span, &mut self.device_scratch)?;
+                Ok((ServerResponse::Miniature(DataPayload::image(mini).bytes), took))
             }
             ServerRequest::Query { keywords } => {
                 // Index is memory-resident; queries cost no device time.

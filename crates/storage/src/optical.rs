@@ -174,26 +174,8 @@ impl BlockDevice for OpticalDisk {
     }
 
     fn read_at(&mut self, span: ByteSpan) -> Result<(Vec<u8>, SimDuration)> {
-        if span.end > self.len() {
-            return Err(MinosError::Storage(format!(
-                "read {span} past optical frontier {}",
-                self.len()
-            )));
-        }
-        if self.read_fault_fires() {
-            return Err(MinosError::Storage(format!("transient read fault at {span}")));
-        }
-        self.apply_bit_rot(span);
-        let took = self.access_cost(span.start, span.len());
-        let data = self
-            .data
-            .get(span.start as usize..span.end as usize)
-            .ok_or_else(|| {
-                MinosError::Storage(format!("read {span} outside optical media bounds"))
-            })?
-            .to_vec();
-        self.head = span.end;
-        self.stats.record_read(span.len(), took);
+        let mut data = Vec::new();
+        let took = self.read_at_into(span, &mut data)?;
         Ok((data, took))
     }
 

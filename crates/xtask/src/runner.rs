@@ -12,9 +12,15 @@ use std::path::Path;
 
 /// Files whose non-test code must be panic-free: the crates between wire
 /// bytes and device models, where a panic on attacker-controlled input
-/// takes the server down.
-const PANIC_SCOPE: &[&str] =
-    &["crates/net/src/", "crates/server/src/", "crates/storage/src/", "crates/types/src/codec.rs"];
+/// takes the server down, and the payload codec that decodes `View` and
+/// `Miniature` replies on the client.
+const PANIC_SCOPE: &[&str] = &[
+    "crates/net/src/",
+    "crates/server/src/",
+    "crates/storage/src/",
+    "crates/types/src/codec.rs",
+    "crates/object/src/payload.rs",
+];
 
 /// Files whose queues sit on the overload path: every `push`/`push_back`
 /// there must be reachable from a capacity check, or carry a ratcheted

@@ -10,6 +10,7 @@
 use minos::corpus;
 use minos::corpus::objects::archived_form;
 use minos::net::{Link, LinkStats};
+use minos::object::{Anchor, RelevantLink};
 use minos::presentation::{BrowseCommand, BrowseEvent, BrowsingSession, SessionScheduler};
 use minos::server::ObjectServer;
 use minos::text::{LogicalLevel, PaginateConfig};
@@ -81,20 +82,35 @@ fn lcg_next(state: &mut u64) -> u64 {
     *state >> 33
 }
 
-/// Replays `seed`'s script against a scheduler and returns everything
-/// observable: every apply result, every drained tick event stream, the
-/// shared-link accounting, and the elapsed sim time.
+/// Replays `seed`'s script against a scheduler with `sessions` sessions
+/// cycling over objects 1–3 (object 2 is the audio-driven dictation) on
+/// the paper's Ethernet; see [`scripted_stream`].
 fn golden_stream(
     seed: u64,
     sessions: usize,
 ) -> (Vec<Option<Vec<BrowseEvent>>>, LinkStats, SimDuration) {
+    let objects: Vec<u64> = (0..sessions as u64).map(|i| i % 3 + 1).collect();
+    scripted_stream(seed, Link::ethernet(), &objects, 5_000)
+}
+
+/// Replays `seed`'s script against a scheduler over `link` with one
+/// session per entry of `objects`, ticking up to `max_tick_ms` between
+/// commands, and returns everything observable: every apply result,
+/// every drained tick event stream, the shared-link accounting, and the
+/// elapsed sim time.
+fn scripted_stream(
+    seed: u64,
+    link: Link,
+    objects: &[u64],
+    max_tick_ms: u64,
+) -> (Vec<Option<Vec<BrowseEvent>>>, LinkStats, SimDuration) {
     let config = PaginateConfig::default();
     let page = SimDuration::from_secs(5);
-    let mut sched = SessionScheduler::new(corpus_server(), Link::ethernet());
+    let mut sched = SessionScheduler::new(corpus_server(), link);
     let mut stream = Vec::new();
     let mut keys = Vec::new();
-    for i in 0..sessions {
-        let (key, open) = sched.open(ObjectId::new(i as u64 % 3 + 1), config, page).unwrap();
+    for &object in objects {
+        let (key, open) = sched.open(ObjectId::new(object), config, page).unwrap();
         stream.push(Some(open));
         keys.push(key);
     }
@@ -102,7 +118,7 @@ fn golden_stream(
     for _ in 0..24 {
         let choice = lcg_next(&mut state) as u8;
         let n = lcg_next(&mut state) as u8;
-        let ms = lcg_next(&mut state) % 5_000;
+        let ms = lcg_next(&mut state) % max_tick_ms;
         let target = lcg_next(&mut state) as usize % keys.len();
         stream.push(sched.apply(keys[target], command(choice, n)).ok());
         sched.tick(SimDuration::from_millis(ms));
@@ -144,6 +160,96 @@ fn kernel_scheduler_matches_legacy_rotation_golden_streams() {
             minos::net::crc32(format!("{stream:?}").as_bytes()),
             digest,
             "event streams diverged at seed {seed} with {sessions} sessions"
+        );
+        assert_eq!(
+            (link.messages, link.bytes, link.busy.as_micros()),
+            (messages, bytes, busy_us),
+            "link accounting diverged at seed {seed}"
+        );
+        assert_eq!(elapsed.as_micros(), elapsed_us, "sim time diverged at seed {seed}");
+    }
+}
+
+/// The fuzz corpus plus three dictations (ids 6–8) that each carry a
+/// relevant link from their x-ray to a subway-map overlay: audio-driven
+/// sessions that prefetch, so they contend with text sessions for the
+/// server and the shared link.
+fn contended_server() -> ObjectServer {
+    let mut server = corpus_server();
+    for (id, target) in [(6u64, 4u64), (7, 5), (8, 4)] {
+        let mut obj = corpus::audio_xray_report(ObjectId::new(id), id);
+        obj.relevant.push(RelevantLink {
+            label: format!("overlay {target}"),
+            target: ObjectId::new(target),
+            anchor: Anchor::Image { image: 0 },
+            relevances: vec![],
+        });
+        let archived = archived_form(&obj);
+        server.publish(obj, &archived).unwrap();
+    }
+    server
+}
+
+/// A script where several audio sessions contend for one slow link. Each
+/// round every session enters its first relevant object (a demand fetch)
+/// and returns from it, which re-announces the target as a prefetch; those
+/// prefetches all wait for the same tick, whose wake order decides which
+/// lands first. The next round's demand fetches then wait for their
+/// prefetch's delivery, so each session's total wait records the service
+/// order. Returns the event stream, the per-session waits, the link
+/// accounting and the elapsed sim time.
+fn contended_stream(seed: u64) -> (Vec<Vec<BrowseEvent>>, Vec<u64>, LinkStats, SimDuration) {
+    let config = PaginateConfig::default();
+    let page = SimDuration::from_secs(5);
+    let link = Link::new(SimDuration::from_millis(2), 125_000);
+    let mut sched = SessionScheduler::new(contended_server(), link);
+    let mut stream = Vec::new();
+    let mut keys = Vec::new();
+    // Text sessions on the subway map sit between the audio sessions in
+    // the rotation, so audio-first and rotation order disagree.
+    for object in [3u64, 6, 3, 7, 8] {
+        let (key, open) = sched.open(ObjectId::new(object), config, page).unwrap();
+        stream.push(open);
+        keys.push(key);
+    }
+    let mut state = seed;
+    for _ in 0..6 {
+        for &key in &keys {
+            stream.push(sched.apply(key, BrowseCommand::SelectRelevant(0)).unwrap());
+        }
+        for &key in &keys {
+            stream.push(sched.apply(key, BrowseCommand::ReturnFromRelevant).unwrap());
+        }
+        sched.tick(SimDuration::from_millis(1 + lcg_next(&mut state) % 40));
+    }
+    for &key in &keys {
+        stream.push(sched.drain_events(key).unwrap());
+    }
+    let waits =
+        keys.iter().map(|&k| sched.session(k).unwrap().store().waited().as_micros()).collect();
+    (stream, waits, sched.link_stats(), sched.elapsed())
+}
+
+/// Golden values of [`contended_stream`] per seed: `(seed, CRC-32 of the
+/// stream's and the waits' Debug rendering, stream entries, link
+/// messages, link bytes, link busy µs, elapsed µs)`. Serving the woken
+/// text connections before the audio ones instead changes every digest
+/// and elapsed time.
+const CONTENDED_STREAMS: [(u64, u32, usize, u64, u64, u64, u64); 3] = [
+    (1, 0x6fd55d25, 70, 84, 4_888_622, 39_276_976, 43_849_066),
+    (2, 0x608a364b, 70, 84, 4_888_622, 39_276_976, 43_833_066),
+    (3, 0x5010c342, 70, 84, 4_888_622, 39_276_976, 43_817_066),
+];
+
+#[test]
+fn contended_audio_sessions_are_served_first() {
+    for (seed, digest, entries, messages, bytes, busy_us, elapsed_us) in CONTENDED_STREAMS {
+        let (stream, waits, link, elapsed) = contended_stream(seed);
+        assert_eq!(stream.len(), entries, "stream length at seed {seed}");
+        assert_eq!(
+            minos::net::crc32(format!("{stream:?} {waits:?}").as_bytes()),
+            digest,
+            "event streams or waits diverged at seed {seed}: waits {waits:?}"
         );
         assert_eq!(
             (link.messages, link.bytes, link.busy.as_micros()),
